@@ -73,6 +73,10 @@ inline constexpr std::size_t kDefaultBlockSize = 4096;
 //     sorted by (complete_ns, ticket) — a total order independent of which
 //     thread submitted, which is what keeps multi-threaded submitters
 //     (per-stripe workers, the background cache flusher) deterministic.
+//  5. A new wrapper over one lower device derives ForwardingDevice (below)
+//     and overrides only what it changes, so no hook is dropped on the way
+//     down; a layer with its own do_submit or do_drain also implements
+//     do_wait_until and completion_cutoff.
 
 enum class IoOp : std::uint8_t { kRead, kWrite, kFlush };
 
@@ -244,6 +248,61 @@ class BlockDevice {
   std::uint32_t queue_depth_ = 1;
   std::uint64_t next_ticket_ = 1;
   std::vector<IoCompletion> pending_;
+};
+
+/// Base for wrapper layers over exactly one lower device — the dm core's
+/// share of a dm target. Every virtual hook forwards to the same entry
+/// point one level down, so a subclass in its identity configuration is
+/// byte- and time-identical to the bare device. Subclasses override only
+/// the hooks they record, inject or remap, and call the base to pass the
+/// request on.
+class ForwardingDevice : public BlockDevice {
+ public:
+  explicit ForwardingDevice(std::shared_ptr<BlockDevice> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t block_size() const noexcept override {
+    return inner_->block_size();
+  }
+  std::uint64_t num_blocks() const noexcept override {
+    return inner_->num_blocks();
+  }
+  void read_block(std::uint64_t index, util::MutByteSpan out) override {
+    inner_->read_block(index, out);
+  }
+  void write_block(std::uint64_t index, util::ByteSpan data) override {
+    inner_->write_block(index, data);
+  }
+  void flush() override { inner_->flush(); }
+
+  std::uint32_t queue_depth() const noexcept override {
+    return inner_->queue_depth();
+  }
+  void set_queue_depth(std::uint32_t depth) override {
+    inner_->set_queue_depth(depth);
+  }
+  std::uint64_t completion_cutoff() const noexcept override {
+    return inner_->completion_cutoff();
+  }
+
+ protected:
+  void do_read_blocks(std::uint64_t first, std::uint64_t count,
+                      util::MutByteSpan out) override {
+    inner_->read_blocks(first, count, out);
+  }
+  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
+    inner_->write_blocks(first, data);
+  }
+  std::uint64_t do_submit(const IoRequest& req) override {
+    return inner_->submit(req).complete_ns;
+  }
+  void do_drain() override { inner_->drain(); }
+  void do_wait_until(std::uint64_t cutoff) override {
+    inner_->wait_until(cutoff);
+  }
+
+ private:
+  std::shared_ptr<BlockDevice> inner_;
 };
 
 /// RAM-backed block device.

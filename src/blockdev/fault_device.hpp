@@ -7,12 +7,11 @@
 // verify that every layer fails closed and that reopening after a mid-
 // transaction crash recovers the last committed state.
 //
-// Both wrappers intercept EVERY entry point — single-block, vectored, and
-// the async submit path — and forward to the inner device's own hooks, so
-// a vectored call stays one vectored command on the inner device and a
-// submission reaches the inner queue-depth engine (historically the default
-// base-class shims looped per block and completed at time 0, letting async
-// workloads dodge recording and fault budgets). For richer fault policies
+// Both wrappers derive ForwardingDevice and intercept every entry point
+// that carries their concern — single-block, vectored, and the async
+// submit path — so no workload dodges recording or fault budgets, a
+// vectored call stays one vectored command on the inner device and a
+// submission reaches the inner queue-depth engine. For richer fault policies
 // (transient read errors, latent sectors, member drop, power cuts) see
 // blockdev/fault_injector.hpp.
 #pragma once
@@ -32,38 +31,22 @@ struct DeviceOp {
   std::uint64_t block = 0;  // unused for kFlush
 };
 
-class RecordingDevice final : public BlockDevice {
+class RecordingDevice final : public ForwardingDevice {
  public:
   explicit RecordingDevice(std::shared_ptr<BlockDevice> inner)
-      : inner_(std::move(inner)) {}
+      : ForwardingDevice(std::move(inner)) {}
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
   void read_block(std::uint64_t index, util::MutByteSpan out) override {
     ops_.push_back({DeviceOp::Kind::kRead, index});
-    inner_->read_block(index, out);
+    ForwardingDevice::read_block(index, out);
   }
   void write_block(std::uint64_t index, util::ByteSpan data) override {
     ops_.push_back({DeviceOp::Kind::kWrite, index});
-    inner_->write_block(index, data);
+    ForwardingDevice::write_block(index, data);
   }
   void flush() override {
     ops_.push_back({DeviceOp::Kind::kFlush, 0});
-    inner_->flush();
-  }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return inner_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    inner_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return inner_->completion_cutoff();
+    ForwardingDevice::flush();
   }
 
   const std::vector<DeviceOp>& ops() const noexcept { return ops_; }
@@ -75,12 +58,11 @@ class RecordingDevice final : public BlockDevice {
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override {
     record_range(DeviceOp::Kind::kRead, first, count);
-    inner_->read_blocks(first, count, out);
+    ForwardingDevice::do_read_blocks(first, count, out);
   }
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
-    record_range(DeviceOp::Kind::kWrite, first,
-                 data.size() / inner_->block_size());
-    inner_->write_blocks(first, data);
+    record_range(DeviceOp::Kind::kWrite, first, data.size() / block_size());
+    ForwardingDevice::do_write_blocks(first, data);
   }
   std::uint64_t do_submit(const IoRequest& req) override {
     switch (req.op) {
@@ -90,11 +72,7 @@ class RecordingDevice final : public BlockDevice {
                                       req.count); break;
       case IoOp::kFlush: ops_.push_back({DeviceOp::Kind::kFlush, 0}); break;
     }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-  void do_wait_until(std::uint64_t cutoff) override {
-    inner_->wait_until(cutoff);
+    return ForwardingDevice::do_submit(req);
   }
 
  private:
@@ -105,7 +83,6 @@ class RecordingDevice final : public BlockDevice {
     }
   }
 
-  std::shared_ptr<BlockDevice> inner_;
   std::vector<DeviceOp> ops_;
 };
 
@@ -115,7 +92,7 @@ class InjectedFault : public util::IoError {
   InjectedFault() : util::IoError("injected device fault") {}
 };
 
-class FaultyDevice final : public BlockDevice {
+class FaultyDevice final : public ForwardingDevice {
  public:
   /// Fails (throws InjectedFault) on the (writes_until_fault+1)-th written
   /// block, whichever entry point carries it. A negative budget means
@@ -123,31 +100,11 @@ class FaultyDevice final : public BlockDevice {
   /// < 0) until rearm()ed — one crash per arming, like a real power cut.
   FaultyDevice(std::shared_ptr<BlockDevice> inner,
                std::int64_t writes_until_fault)
-      : inner_(std::move(inner)), budget_(writes_until_fault) {}
+      : ForwardingDevice(std::move(inner)), budget_(writes_until_fault) {}
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    inner_->read_block(index, out);
-  }
   void write_block(std::uint64_t index, util::ByteSpan data) override {
     if (budget_ >= 0 && budget_-- == 0) throw InjectedFault();
-    inner_->write_block(index, data);
-  }
-  void flush() override { inner_->flush(); }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return inner_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    inner_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return inner_->completion_cutoff();
+    ForwardingDevice::write_block(index, data);
   }
 
   /// Writes remaining before the fault fires (negative: disarmed/overrun).
@@ -157,17 +114,13 @@ class FaultyDevice final : public BlockDevice {
   }
 
  protected:
-  void do_read_blocks(std::uint64_t first, std::uint64_t count,
-                      util::MutByteSpan out) override {
-    inner_->read_blocks(first, count, out);
-  }
   // Vectored/submitted writes spend the budget per block: the prefix that
   // fits is written (as the kernel may complete part of a vectored
   // request), then the fault fires and the budget disarms — bit-identical
   // state to the historical per-block loop crashing at the same block.
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
     const util::ByteSpan ok = spend_budget(data);
-    if (!ok.empty()) inner_->write_blocks(first, ok);
+    if (!ok.empty()) ForwardingDevice::do_write_blocks(first, ok);
     if (ok.size() != data.size()) throw InjectedFault();
   }
   std::uint64_t do_submit(const IoRequest& req) override {
@@ -176,17 +129,13 @@ class FaultyDevice final : public BlockDevice {
       if (ok.size() != req.write_buf.size()) {
         // Fault mid-request: land the surviving prefix, then fail.
         IoRequest prefix = req;
-        prefix.count = ok.size() / inner_->block_size();
+        prefix.count = ok.size() / block_size();
         prefix.write_buf = ok;
-        if (prefix.count > 0) inner_->submit(prefix);
+        if (prefix.count > 0) ForwardingDevice::do_submit(prefix);
         throw InjectedFault();
       }
     }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-  void do_wait_until(std::uint64_t cutoff) override {
-    inner_->wait_until(cutoff);
+    return ForwardingDevice::do_submit(req);
   }
 
  private:
@@ -195,7 +144,7 @@ class FaultyDevice final : public BlockDevice {
   /// the caller writes the prefix and throws InjectedFault.
   util::ByteSpan spend_budget(util::ByteSpan data) {
     if (budget_ < 0) return data;
-    const std::size_t bs = inner_->block_size();
+    const std::size_t bs = block_size();
     const std::int64_t count = static_cast<std::int64_t>(data.size() / bs);
     if (count <= budget_) {
       budget_ -= count;
@@ -206,7 +155,6 @@ class FaultyDevice final : public BlockDevice {
     return data.first(static_cast<std::size_t>(ok) * bs);
   }
 
-  std::shared_ptr<BlockDevice> inner_;
   std::int64_t budget_;
 };
 

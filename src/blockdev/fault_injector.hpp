@@ -24,9 +24,8 @@
 // no virtual time (it dies in the controller, not on the medium).
 //
 // FaultInjectedDevice wraps any BlockDevice and consults the injector on
-// every entry point — single-block, vectored, and the async submit path —
-// closing the bypass the satellite fix in fault_device.hpp also closes for
-// the recording/budget devices.
+// every data and flush entry point — single-block, vectored, and the async
+// submit path — as the recording/budget devices in fault_device.hpp do.
 #pragma once
 
 #include <cstdint>
@@ -136,62 +135,43 @@ class FaultInjector {
   std::uint64_t healed_ GUARDED_BY(mu_) = 0;
 };
 
-/// BlockDevice wrapper consulting a FaultInjector on every entry point.
+/// ForwardingDevice consulting a FaultInjector on every I/O entry point.
 /// Forwarding preserves the inner device's modelling: vectored calls stay
 /// vectored (one command, one locality judgement) and submissions reach the
 /// inner device's own queue-depth engine, so a fault-free plan is byte- and
 /// time-identical to the bare inner device.
-class FaultInjectedDevice final : public BlockDevice {
+class FaultInjectedDevice final : public ForwardingDevice {
  public:
   FaultInjectedDevice(std::shared_ptr<BlockDevice> inner,
                       std::shared_ptr<FaultInjector> injector)
-      : inner_(std::move(inner)), injector_(std::move(injector)) {}
+      : ForwardingDevice(std::move(inner)), injector_(std::move(injector)) {}
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
   void read_block(std::uint64_t index, util::MutByteSpan out) override {
     injector_->on_read(index, 1);
-    inner_->read_block(index, out);
+    ForwardingDevice::read_block(index, out);
   }
   void write_block(std::uint64_t index, util::ByteSpan data) override {
     injector_->on_write(index, 1);
-    inner_->write_block(index, data);
+    ForwardingDevice::write_block(index, data);
   }
   void flush() override {
     injector_->on_flush();
-    inner_->flush();
-  }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return inner_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    inner_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return inner_->completion_cutoff();
+    ForwardingDevice::flush();
   }
 
   const std::shared_ptr<FaultInjector>& injector() const noexcept {
     return injector_;
-  }
-  const std::shared_ptr<BlockDevice>& inner() const noexcept {
-    return inner_;
   }
 
  protected:
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override {
     injector_->on_read(first, count);
-    inner_->read_blocks(first, count, out);
+    ForwardingDevice::do_read_blocks(first, count, out);
   }
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
-    injector_->on_write(first, data.size() / inner_->block_size());
-    inner_->write_blocks(first, data);
+    injector_->on_write(first, data.size() / block_size());
+    ForwardingDevice::do_write_blocks(first, data);
   }
   std::uint64_t do_submit(const IoRequest& req) override {
     switch (req.op) {
@@ -199,15 +179,10 @@ class FaultInjectedDevice final : public BlockDevice {
       case IoOp::kWrite: injector_->on_write(req.first, req.count); break;
       case IoOp::kFlush: injector_->on_flush(); break;
     }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-  void do_wait_until(std::uint64_t cutoff) override {
-    inner_->wait_until(cutoff);
+    return ForwardingDevice::do_submit(req);
   }
 
  private:
-  std::shared_ptr<BlockDevice> inner_;
   std::shared_ptr<FaultInjector> injector_;
 };
 

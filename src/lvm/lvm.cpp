@@ -164,15 +164,25 @@ std::uint64_t LogicalVolume::do_submit(const blockdev::IoRequest& req) {
   return done;
 }
 
-void LogicalVolume::do_drain() {
+void LogicalVolume::for_each_pv_device(
+    const std::function<void(blockdev::BlockDevice&)>& fn) const {
   std::vector<blockdev::BlockDevice*> seen;
   for (const auto& s : segments_) {
     blockdev::BlockDevice* dev = s.pv->device().get();
     if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
       seen.push_back(dev);
-      dev->drain();
+      fn(*dev);
     }
   }
+}
+
+void LogicalVolume::do_drain() {
+  for_each_pv_device([](blockdev::BlockDevice& dev) { dev.drain(); });
+}
+
+void LogicalVolume::do_wait_until(std::uint64_t cutoff) {
+  for_each_pv_device(
+      [cutoff](blockdev::BlockDevice& dev) { dev.wait_until(cutoff); });
 }
 
 std::uint32_t LogicalVolume::queue_depth() const noexcept {
@@ -184,26 +194,12 @@ std::uint64_t LogicalVolume::completion_cutoff() const noexcept {
 }
 
 void LogicalVolume::set_queue_depth(std::uint32_t depth) {
-  std::vector<blockdev::BlockDevice*> seen;
-  for (const auto& s : segments_) {
-    blockdev::BlockDevice* dev = s.pv->device().get();
-    if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
-      seen.push_back(dev);
-      dev->set_queue_depth(depth);
-    }
-  }
+  for_each_pv_device(
+      [depth](blockdev::BlockDevice& dev) { dev.set_queue_depth(depth); });
 }
 
 void LogicalVolume::flush() {
-  // One barrier per distinct underlying device, not per extent segment.
-  std::vector<blockdev::BlockDevice*> seen;
-  for (const auto& s : segments_) {
-    blockdev::BlockDevice* dev = s.pv->device().get();
-    if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
-      seen.push_back(dev);
-      dev->flush();
-    }
-  }
+  for_each_pv_device([](blockdev::BlockDevice& dev) { dev.flush(); });
 }
 
 void VolumeGroup::add_pv(std::shared_ptr<PhysicalVolume> pv) {

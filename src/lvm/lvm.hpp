@@ -52,7 +52,8 @@ class PhysicalVolume {
 };
 
 /// A logical volume: an ordered list of (PV, extent) segments presented as
-/// one contiguous BlockDevice.
+/// one contiguous BlockDevice. It may span several PVs, so it cannot be a
+/// single-lower ForwardingDevice.
 class LogicalVolume final : public blockdev::BlockDevice {
  public:
   struct Segment {
@@ -91,8 +92,14 @@ class LogicalVolume final : public blockdev::BlockDevice {
   /// completion time is the latest sub-request completion.
   std::uint64_t do_submit(const blockdev::IoRequest& req) override;
   void do_drain() override;
+  void do_wait_until(std::uint64_t cutoff) override;
 
  private:
+  /// Calls fn once per distinct PV device under this LV, in segment order:
+  /// one barrier (or queue-depth hint) per device, not per extent segment.
+  void for_each_pv_device(
+      const std::function<void(blockdev::BlockDevice&)>& fn) const;
+
   /// Maps an LV block to (device, physical block).
   std::pair<blockdev::BlockDevice*, std::uint64_t> map(
       std::uint64_t index) const;

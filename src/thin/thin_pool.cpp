@@ -247,6 +247,19 @@ void ThinPool::load_metadata() {
   if (sb_.checksum != sb_.compute_checksum()) {
     throw util::MetadataError("thin superblock: checksum mismatch");
   }
+  // Untrusted input: bound every field that sizes an allocation or a read
+  // by the device it describes, each geometry input before the geometry
+  // arithmetic, which therefore cannot overflow into a plausible layout.
+  const std::uint64_t meta_blocks = metadata_dev_->num_blocks();
+  if (sb_.chunk_blocks == 0 || sb_.nr_chunks == 0 ||
+      sb_.nr_chunks > data_dev_->num_blocks() / sb_.chunk_blocks) {
+    throw util::MetadataError("thin superblock: bad chunk geometry");
+  }
+  if (sb_.max_volumes > meta_blocks * (bs / kVolumeDescSize) ||
+      sb_.max_chunks_per_volume > meta_blocks * (bs / 8) ||
+      MetadataGeometry::compute(sb_, bs).total_blocks > meta_blocks) {
+    throw util::MetadataError("thin superblock: metadata device too small");
+  }
   geom_ = MetadataGeometry::compute(sb_, bs);
   const std::uint64_t base = geom_.area_start(sb_.active_area);
 
@@ -291,6 +304,11 @@ void ThinPool::load_metadata() {
   for (std::uint32_t vol = 0; vol < volumes_.size(); ++vol) {
     auto& v = volumes_[vol];
     if (!v.active) continue;
+    if (v.virtual_chunks == 0 ||
+        v.virtual_chunks > sb_.max_chunks_per_volume) {
+      throw util::MetadataError("thin volume " + std::to_string(vol) +
+                                ": bad virtual size");
+    }
     v.map.assign(v.virtual_chunks, kUnmapped);
     const std::uint64_t map_blocks =
         (v.map.size() + entries_per_block - 1) / entries_per_block;
@@ -301,7 +319,13 @@ void ThinPool::load_metadata() {
       for (std::uint64_t e = 0; e < entries_per_block; ++e) {
         const std::uint64_t idx = b * entries_per_block + e;
         if (idx >= v.map.size()) break;
-        v.map[idx] = util::load_le<std::uint64_t>(block.data() + e * 8);
+        const std::uint64_t chunk =
+            util::load_le<std::uint64_t>(block.data() + e * 8);
+        if (chunk != kUnmapped && chunk >= sb_.nr_chunks) {
+          throw util::MetadataError("thin volume " + std::to_string(vol) +
+                                    ": mapping beyond the data device");
+        }
+        v.map[idx] = chunk;
       }
     }
   }

@@ -24,24 +24,17 @@ using blockdev::kDefaultBlockSize;
 
 /// Records every lower-device write (sync or submitted) as a (first, count)
 /// run, in arrival order.
-class RecordingDevice final : public blockdev::BlockDevice {
+class RecordingDevice final : public blockdev::ForwardingDevice {
  public:
-  explicit RecordingDevice(std::shared_ptr<blockdev::BlockDevice> inner)
-      : inner_(std::move(inner)) {}
+  using ForwardingDevice::ForwardingDevice;
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
   void read_block(std::uint64_t index, util::MutByteSpan out) override {
     ++read_blocks_;
-    inner_->read_block(index, out);
+    ForwardingDevice::read_block(index, out);
   }
   void write_block(std::uint64_t index, util::ByteSpan data) override {
     write_runs.emplace_back(index, 1);
-    inner_->write_block(index, data);
+    ForwardingDevice::write_block(index, data);
   }
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> write_runs;
@@ -51,11 +44,11 @@ class RecordingDevice final : public blockdev::BlockDevice {
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override {
     read_blocks_ += count;
-    inner_->read_blocks(first, count, out);
+    ForwardingDevice::do_read_blocks(first, count, out);
   }
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
     write_runs.emplace_back(first, data.size() / block_size());
-    inner_->write_blocks(first, data);
+    ForwardingDevice::do_write_blocks(first, data);
   }
   std::uint64_t do_submit(const blockdev::IoRequest& req) override {
     if (req.op == blockdev::IoOp::kWrite) {
@@ -63,12 +56,10 @@ class RecordingDevice final : public blockdev::BlockDevice {
     } else if (req.op == blockdev::IoOp::kRead) {
       read_blocks_ += req.count;
     }
-    return inner_->submit(req).complete_ns;
+    return ForwardingDevice::do_submit(req);
   }
-  void do_drain() override { inner_->drain(); }
 
  private:
-  std::shared_ptr<blockdev::BlockDevice> inner_;
   std::uint64_t read_blocks_ = 0;
 };
 

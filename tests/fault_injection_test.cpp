@@ -6,6 +6,8 @@
 // recording and budget devices must intercept the vectored and submit
 // paths too (one vectored inner command, budgets spent per block), and
 // StripedTarget::flush must fail closed while still reaching every member.
+// A fault-free plan's transparency is also pinned, at QD 8, in
+// forwarding_device_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,28 +47,21 @@ util::Bytes pattern(std::size_t n, std::uint8_t salt) {
 /// Wraps a MemBlockDevice and counts how many times each *hook* fires, so
 /// the tests can prove a vectored call stayed one vectored command on the
 /// inner device instead of decaying into a per-block loop.
-class CountingDevice final : public blockdev::BlockDevice {
+class CountingDevice final : public blockdev::ForwardingDevice {
  public:
-  explicit CountingDevice(std::shared_ptr<blockdev::BlockDevice> inner)
-      : inner_(std::move(inner)) {}
+  using ForwardingDevice::ForwardingDevice;
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
   void read_block(std::uint64_t index, util::MutByteSpan out) override {
     ++single_reads;
-    inner_->read_block(index, out);
+    ForwardingDevice::read_block(index, out);
   }
   void write_block(std::uint64_t index, util::ByteSpan data) override {
     ++single_writes;
-    inner_->write_block(index, data);
+    ForwardingDevice::write_block(index, data);
   }
   void flush() override {
     ++flushes;
-    inner_->flush();
+    ForwardingDevice::flush();
   }
 
   int single_reads = 0;
@@ -80,19 +75,16 @@ class CountingDevice final : public blockdev::BlockDevice {
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override {
     ++vectored_reads;
-    inner_->read_blocks(first, count, out);
+    ForwardingDevice::do_read_blocks(first, count, out);
   }
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
     ++vectored_writes;
-    inner_->write_blocks(first, data);
+    ForwardingDevice::do_write_blocks(first, data);
   }
   std::uint64_t do_submit(const IoRequest& req) override {
     ++submits;
-    return inner_->submit(req).complete_ns;
+    return ForwardingDevice::do_submit(req);
   }
-
- private:
-  std::shared_ptr<blockdev::BlockDevice> inner_;
 };
 
 struct InjectedRig {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include "blockdev/block_device.hpp"
 #include "crypto/random.hpp"
@@ -33,6 +34,13 @@ struct FsMaker {
   std::unique_ptr<fs::FileSystem> (*remount)(
       std::shared_ptr<blockdev::BlockDevice>);
 };
+
+// Print the filesystem name, not the struct's bytes: gtest lists the
+// printed parameter, and ctest builds each test's name from that listing.
+// Raw bytes would carry function-pointer addresses, which ASLR changes on
+// every build. Printing the name yields stable ctest names such as
+// "Filesystems/BothFs.ManySmallFiles/extfs".
+void PrintTo(const FsMaker& maker, std::ostream* os) { *os << maker.name; }
 
 std::unique_ptr<fs::FileSystem> make_ext(
     std::shared_ptr<blockdev::BlockDevice> dev) {
@@ -171,10 +179,7 @@ TEST_P(BothFs, ManySmallFiles) {
 INSTANTIATE_TEST_SUITE_P(
     Filesystems, BothFs,
     ::testing::Values(FsMaker{"extfs", &make_ext, &remount_ext},
-                      FsMaker{"fatfs", &make_fat, &remount_fat}),
-    [](const ::testing::TestParamInfo<FsMaker>& info) {
-      return info.param.name;
-    });
+                      FsMaker{"fatfs", &make_fat, &remount_fat}));
 
 // ---- ExtFs-specific -------------------------------------------------------------
 

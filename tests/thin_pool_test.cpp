@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "blockdev/block_device.hpp"
 #include "crypto/random.hpp"
@@ -207,6 +210,73 @@ TEST(ThinPool, OpenRejectsGarbage) {
   auto meta = std::make_shared<blockdev::MemBlockDevice>(512);
   auto data = std::make_shared<blockdev::MemBlockDevice>(1024);
   EXPECT_THROW(ThinPool::open(meta, data), util::MetadataError);
+}
+
+TEST(ThinPool, OpenRejectsCorruptFieldsWithoutAllocating) {
+  // A committed pool: 256 chunks of 4 blocks on a 512-block metadata
+  // device, 8 volume slots, volume 0 with 16 virtual chunks, one mapped.
+  PoolFixture f(AllocPolicy::kSequential);
+  f.pool->create_thin(0, 16);
+  f.pool->open_thin(0)->write_block(0, pattern_block(4096, 4));
+  f.pool->commit();
+  const thin::Superblock sb = f.pool->superblock();
+  const auto geom = thin::MetadataGeometry::compute(sb, 4096);
+  const std::uint64_t area = geom.area_start(sb.active_area) * 4096;
+  const std::size_t vol0_size = area + geom.volume_table_offset * 4096 + 8;
+  const std::size_t vol0_map = area + geom.maps_offset * 4096;
+  const util::Bytes good = f.meta->snapshot();
+
+  // Superblock edits are re-sealed with a valid checksum, so only field
+  // validation stands between them and open(); the volume table and maps
+  // carry no checksum at all.
+  using Corrupt = std::function<void(util::Bytes&)>;
+  const auto reseal = [&sb](std::function<void(thin::Superblock&)> edit) {
+    return Corrupt([&sb, edit](util::Bytes& image) {
+      thin::Superblock s = sb;
+      edit(s);
+      std::uint8_t* p = image.data();
+      util::store_le<std::uint32_t>(p + 16, s.chunk_blocks);
+      util::store_le<std::uint32_t>(p + 20, s.max_volumes);
+      util::store_le<std::uint64_t>(p + 24, s.nr_chunks);
+      util::store_le<std::uint64_t>(p + 32, s.max_chunks_per_volume);
+      util::store_le<std::uint64_t>(p + 64, s.compute_checksum());
+    });
+  };
+  const auto at = [](std::size_t off, std::uint64_t value) {
+    return Corrupt([off, value](util::Bytes& image) {
+      util::store_le<std::uint64_t>(image.data() + off, value);
+    });
+  };
+  const auto open_with = [&](const Corrupt& corrupt) {
+    util::Bytes image = good;
+    corrupt(image);
+    f.meta->write_blocks(0, image);
+    ThinPool::open(f.meta, f.data);
+  };
+
+  EXPECT_NO_THROW(open_with(reseal([](thin::Superblock&) {})));
+  const std::vector<std::pair<const char*, Corrupt>> cases = {
+      // Geometry that does not fit the metadata device, including a map
+      // size that wraps 64-bit arithmetic.
+      {"max_volumes", reseal([](auto& s) { s.max_volumes = 100000; })},
+      {"map areas", reseal([](auto& s) { s.max_chunks_per_volume = 40000; })},
+      {"map wrap", reseal([](auto& s) { s.max_chunks_per_volume = ~0ull; })},
+      {"chunk size 0", reseal([](auto& s) { s.chunk_blocks = 0; })},
+      // Chunk counts beyond the 1024-block data device.
+      {"nr_chunks", reseal([](auto& s) { s.nr_chunks = 257; })},
+      {"nr_chunks huge", reseal([](auto& s) { s.nr_chunks = 1ull << 62; })},
+      // An active volume sized 0, above max_chunks_per_volume, or huge.
+      {"volume size 0", at(vol0_size, 0)},
+      {"volume above max", at(vol0_size, sb.max_chunks_per_volume + 1)},
+      {"volume huge", at(vol0_size, 1ull << 61)},
+      // Map entries that are neither unmapped nor a chunk of the pool.
+      {"map entry", at(vol0_map, sb.nr_chunks)},
+      {"map entry huge", at(vol0_map + 8, 1ull << 40)},
+  };
+  for (const auto& [name, corrupt] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(open_with(corrupt), util::MetadataError);
+  }
 }
 
 TEST(ThinPool, DiscardFreesChunk) {

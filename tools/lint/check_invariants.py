@@ -58,6 +58,13 @@ Rules (see README "Static analysis" for the policy):
                  bench/harness.cpp and the wall-clock crypto worker count
                  in src/crypto/crypto_pool.cpp are exempt — they tune the
                  run, not the simulated stack.
+  async-hooks-paired
+                 A class in src/ or tests/ that derives BlockDevice directly
+                 and overrides do_submit or do_drain must also override
+                 do_wait_until and completion_cutoff; otherwise wait_until()
+                 and polling stop at this layer and never reach the timed
+                 device below. Single-lower wrappers derive
+                 blockdev::ForwardingDevice, which forwards every hook.
 
 Stdlib-only; runs from ctest and CI:  python3 tools/lint/check_invariants.py
 Exit status is the number of findings (0 = clean).
@@ -469,6 +476,66 @@ def check_baselines(root, findings):
                     f"knob {key!r} must be numeric"))
 
 
+# ---- async hook pairing ------------------------------------------------------
+
+ASYNC_HOOK_TREES = ("src", "tests")
+# `class Foo final : public blockdev::BlockDevice {` — the base list runs to
+# the opening brace; a direct BlockDevice base is one of its entries.
+CLASS_HEAD_RE = re.compile(
+    r"\b(?:class|struct)\s+(?P<name>\w+)\s*(?:final\s*)?:"
+    r"(?P<bases>[^{;]*)\{")
+DIRECT_BLOCKDEVICE_RE = re.compile(
+    r"^\s*(?:public|protected|private)?\s*(?:virtual\s+)?"
+    r"(?:[\w:]*::)?BlockDevice\s*$")
+ASYNC_TRIGGER_HOOKS = ("do_submit", "do_drain")
+ASYNC_PAIRED_HOOKS = ("do_wait_until", "completion_cutoff")
+
+
+def class_body(code, open_brace):
+    """Text between the class's opening brace and its matching close."""
+    depth = 0
+    for i in range(open_brace, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return code[open_brace + 1:i]
+    return code[open_brace + 1:]
+
+
+def overrides(body, hook):
+    return re.search(r"\b" + hook + r"\s*\([^;{]*\boverride\b", body)
+
+
+def check_async_hooks(root, findings):
+    for tree in ASYNC_HOOK_TREES:
+        for path in iter_source_files(root, tree):
+            relpath = rel(root, path)
+            with open(path, encoding="utf-8") as f:
+                raw_lines = f.read().splitlines()
+            code = "\n".join(strip_comments_and_strings(l) for l in raw_lines)
+            for m in CLASS_HEAD_RE.finditer(code):
+                bases = m.group("bases").split(",")
+                if not any(DIRECT_BLOCKDEVICE_RE.match(b) for b in bases):
+                    continue
+                lineno = code.count("\n", 0, m.start()) + 1
+                if allowed("async-hooks-paired", raw_lines[lineno - 1]):
+                    continue
+                body = class_body(code, m.end() - 1)
+                if not any(overrides(body, h) for h in ASYNC_TRIGGER_HOOKS):
+                    continue
+                missing = [h for h in ASYNC_PAIRED_HOOKS
+                           if not overrides(body, h)]
+                if missing:
+                    findings.append(Finding(
+                        relpath, lineno, "async-hooks-paired",
+                        f"{m.group('name')} overrides do_submit/do_drain but "
+                        f"not {' or '.join(missing)}: wait_until() and "
+                        "polling stop at this layer — override them too, or "
+                        "derive blockdev::ForwardingDevice"))
+
+
 # ---- driver ------------------------------------------------------------------
 
 def run(root):
@@ -480,6 +547,7 @@ def run(root):
     check_knob_registry(root, findings)
     check_knob_docs(root, findings)
     check_baselines(root, findings)
+    check_async_hooks(root, findings)
     return findings
 
 

@@ -439,6 +439,69 @@ class BaselineSchemaRule(LintTestCase):
         self.assertEqual(keys, ("workload_mb", "queue_depth", "cache_blocks"))
 
 
+class AsyncHooksPairedRule(LintTestCase):
+    HOOKS = {
+        "submit": "  std::uint64_t do_submit(const IoRequest& r) override;\n",
+        "drain": "  void do_drain() override { inner_->drain(); }\n",
+        "wait": "  void do_wait_until(std::uint64_t c) override;\n",
+        "cutoff": ("  std::uint64_t completion_cutoff() const noexcept "
+                   "override;\n"),
+    }
+
+    def wrapper(self, *hooks, base="public blockdev::BlockDevice",
+                head_suffix=""):
+        body = "".join(self.HOOKS[h] for h in hooks)
+        return (f"class Wrap final : {base} {{{head_suffix}\n"
+                f" protected:\n{body}}};\n")
+
+    def test_submit_without_wait_until_flagged(self):
+        self.tree.write("src/dm/wrap.hpp",
+                        self.wrapper("submit", "drain", "cutoff"))
+        self.assertEqual(self.rules_fired(),
+                         [("async-hooks-paired",
+                           os.path.join("src", "dm", "wrap.hpp"))])
+
+    def test_drain_without_cutoff_flagged_in_tests(self):
+        self.tree.write("tests/a_test.cpp", self.wrapper("drain", "wait"))
+        self.assert_rule("async-hooks-paired")
+
+    def test_unqualified_base_flagged(self):
+        self.tree.write("src/a.hpp",
+                        self.wrapper("submit", base="public BlockDevice"))
+        self.assert_rule("async-hooks-paired")
+
+    def test_all_four_hooks_clean(self):
+        self.tree.write("src/a.hpp",
+                        self.wrapper("submit", "drain", "wait", "cutoff"))
+        self.assert_clean()
+
+    def test_sync_only_device_clean(self):
+        self.tree.write("tests/a_test.cpp", self.wrapper())
+        self.assert_clean()
+
+    def test_forwarding_device_subclass_clean(self):
+        self.tree.write("src/a.hpp", self.wrapper(
+            "submit", base="public blockdev::ForwardingDevice"))
+        self.assert_clean()
+
+    def test_hook_named_in_comment_does_not_count(self):
+        self.tree.write("src/a.hpp", self.wrapper(
+            "submit", "cutoff",
+            head_suffix="  // do_wait_until() override: not needed"))
+        self.assert_rule("async-hooks-paired")
+
+    def test_outside_src_and_tests_ignored(self):
+        os.makedirs(os.path.join(self.tree.root, "bench"))
+        self.tree.write("bench/a.cpp", self.wrapper("submit"))
+        self.assert_clean()
+
+    def test_allow_marker_suppresses(self):
+        self.tree.write("src/a.hpp", self.wrapper(
+            "submit",
+            head_suffix="  // lint:allow async-hooks-paired never timed"))
+        self.assert_clean()
+
+
 class RealTreeSmoke(unittest.TestCase):
     def test_repo_is_clean(self):
         repo = os.path.dirname(os.path.dirname(os.path.dirname(
