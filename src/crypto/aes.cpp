@@ -1,5 +1,6 @@
 #include "crypto/aes.hpp"
 
+#include "crypto/aes_impl.hpp"
 #include "util/error.hpp"
 
 namespace mobiceal::crypto {
@@ -123,54 +124,78 @@ Aes::Aes(util::ByteSpan key) {
   rounds_ = nk + 6;
   const std::size_t nw = 4 * (rounds_ + 1);
 
+  std::uint32_t w[60];
   for (std::size_t i = 0; i < nk; ++i) {
-    enc_keys_[i] = util::load_be32(key.data() + 4 * i);
+    w[i] = util::load_be32(key.data() + 4 * i);
   }
   for (std::size_t i = nk; i < nw; ++i) {
-    std::uint32_t temp = enc_keys_[i - 1];
+    std::uint32_t temp = w[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^ kRcon[i / nk];
     } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    enc_keys_[i] = enc_keys_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
   }
 
   // Decryption schedule: reversed round keys with InvMixColumns applied to
   // the middle rounds (equivalent inverse cipher, FIPS-197 §5.3.5).
   for (std::size_t i = 0; i < nw; ++i) {
-    dec_keys_[i] = enc_keys_[nw - 4 - 4 * (i / 4) + (i % 4)];
-  }
-  for (std::size_t i = 4; i < nw - 4; ++i) {
-    dec_keys_[i] = inv_mix_word(dec_keys_[i]);
+    std::uint32_t d = w[nw - 4 - 4 * (i / 4) + (i % 4)];
+    if (i >= 4 && i < nw - 4) d = inv_mix_word(d);
+    util::store_be32(enc_keys_.data() + 4 * i, w[i]);
+    util::store_be32(dec_keys_.data() + 4 * i, d);
   }
 }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  if (aes_impl::hw_available()) {
+    aes_impl::encrypt_block_hw(enc_keys_.data(), rounds_, in, out);
+  } else {
+    aes_impl::encrypt_block_portable(enc_keys_.data(), rounds_, in, out);
+  }
+}
+
+void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  if (aes_impl::hw_available()) {
+    aes_impl::decrypt_block_hw(dec_keys_.data(), rounds_, in, out);
+  } else {
+    aes_impl::decrypt_block_portable(dec_keys_.data(), rounds_, in, out);
+  }
+}
+
+namespace aes_impl {
+
+void encrypt_block_portable(const std::uint8_t* keys, std::size_t rounds,
+                            const std::uint8_t in[16],
+                            std::uint8_t out[16]) noexcept {
   const auto& t = tables();
-  std::uint32_t s0 = util::load_be32(in) ^ enc_keys_[0];
-  std::uint32_t s1 = util::load_be32(in + 4) ^ enc_keys_[1];
-  std::uint32_t s2 = util::load_be32(in + 8) ^ enc_keys_[2];
-  std::uint32_t s3 = util::load_be32(in + 12) ^ enc_keys_[3];
+  const auto rk = [keys](std::size_t i) {
+    return util::load_be32(keys + 4 * i);
+  };
+  std::uint32_t s0 = util::load_be32(in) ^ rk(0);
+  std::uint32_t s1 = util::load_be32(in + 4) ^ rk(1);
+  std::uint32_t s2 = util::load_be32(in + 8) ^ rk(2);
+  std::uint32_t s3 = util::load_be32(in + 12) ^ rk(3);
 
   std::size_t k = 4;
-  for (std::size_t round = 1; round < rounds_; ++round, k += 4) {
+  for (std::size_t round = 1; round < rounds; ++round, k += 4) {
     const std::uint32_t t0 = t.Te0[(s0 >> 24) & 0xFF] ^
                              t.Te1[(s1 >> 16) & 0xFF] ^
                              t.Te2[(s2 >> 8) & 0xFF] ^ t.Te3[s3 & 0xFF] ^
-                             enc_keys_[k];
+                             rk(k);
     const std::uint32_t t1 = t.Te0[(s1 >> 24) & 0xFF] ^
                              t.Te1[(s2 >> 16) & 0xFF] ^
                              t.Te2[(s3 >> 8) & 0xFF] ^ t.Te3[s0 & 0xFF] ^
-                             enc_keys_[k + 1];
+                             rk(k + 1);
     const std::uint32_t t2 = t.Te0[(s2 >> 24) & 0xFF] ^
                              t.Te1[(s3 >> 16) & 0xFF] ^
                              t.Te2[(s0 >> 8) & 0xFF] ^ t.Te3[s1 & 0xFF] ^
-                             enc_keys_[k + 2];
+                             rk(k + 2);
     const std::uint32_t t3 = t.Te0[(s3 >> 24) & 0xFF] ^
                              t.Te1[(s0 >> 16) & 0xFF] ^
                              t.Te2[(s1 >> 8) & 0xFF] ^ t.Te3[s2 & 0xFF] ^
-                             enc_keys_[k + 3];
+                             rk(k + 3);
     s0 = t0;
     s1 = t1;
     s2 = t2;
@@ -195,37 +220,42 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
                            (std::uint32_t{sb[(s0 >> 16) & 0xFF]} << 16) |
                            (std::uint32_t{sb[(s1 >> 8) & 0xFF]} << 8) |
                            std::uint32_t{sb[s2 & 0xFF]};
-  util::store_be32(out, r0 ^ enc_keys_[k]);
-  util::store_be32(out + 4, r1 ^ enc_keys_[k + 1]);
-  util::store_be32(out + 8, r2 ^ enc_keys_[k + 2]);
-  util::store_be32(out + 12, r3 ^ enc_keys_[k + 3]);
+  util::store_be32(out, r0 ^ rk(k));
+  util::store_be32(out + 4, r1 ^ rk(k + 1));
+  util::store_be32(out + 8, r2 ^ rk(k + 2));
+  util::store_be32(out + 12, r3 ^ rk(k + 3));
 }
 
-void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+void decrypt_block_portable(const std::uint8_t* keys, std::size_t rounds,
+                            const std::uint8_t in[16],
+                            std::uint8_t out[16]) noexcept {
   const auto& t = tables();
-  std::uint32_t s0 = util::load_be32(in) ^ dec_keys_[0];
-  std::uint32_t s1 = util::load_be32(in + 4) ^ dec_keys_[1];
-  std::uint32_t s2 = util::load_be32(in + 8) ^ dec_keys_[2];
-  std::uint32_t s3 = util::load_be32(in + 12) ^ dec_keys_[3];
+  const auto rk = [keys](std::size_t i) {
+    return util::load_be32(keys + 4 * i);
+  };
+  std::uint32_t s0 = util::load_be32(in) ^ rk(0);
+  std::uint32_t s1 = util::load_be32(in + 4) ^ rk(1);
+  std::uint32_t s2 = util::load_be32(in + 8) ^ rk(2);
+  std::uint32_t s3 = util::load_be32(in + 12) ^ rk(3);
 
   std::size_t k = 4;
-  for (std::size_t round = 1; round < rounds_; ++round, k += 4) {
+  for (std::size_t round = 1; round < rounds; ++round, k += 4) {
     const std::uint32_t t0 = t.Td0[(s0 >> 24) & 0xFF] ^
                              t.Td1[(s3 >> 16) & 0xFF] ^
                              t.Td2[(s2 >> 8) & 0xFF] ^ t.Td3[s1 & 0xFF] ^
-                             dec_keys_[k];
+                             rk(k);
     const std::uint32_t t1 = t.Td0[(s1 >> 24) & 0xFF] ^
                              t.Td1[(s0 >> 16) & 0xFF] ^
                              t.Td2[(s3 >> 8) & 0xFF] ^ t.Td3[s2 & 0xFF] ^
-                             dec_keys_[k + 1];
+                             rk(k + 1);
     const std::uint32_t t2 = t.Td0[(s2 >> 24) & 0xFF] ^
                              t.Td1[(s1 >> 16) & 0xFF] ^
                              t.Td2[(s0 >> 8) & 0xFF] ^ t.Td3[s3 & 0xFF] ^
-                             dec_keys_[k + 2];
+                             rk(k + 2);
     const std::uint32_t t3 = t.Td0[(s3 >> 24) & 0xFF] ^
                              t.Td1[(s2 >> 16) & 0xFF] ^
                              t.Td2[(s1 >> 8) & 0xFF] ^ t.Td3[s0 & 0xFF] ^
-                             dec_keys_[k + 3];
+                             rk(k + 3);
     s0 = t0;
     s1 = t1;
     s2 = t2;
@@ -249,10 +279,12 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
                            (std::uint32_t{isb[(s2 >> 16) & 0xFF]} << 16) |
                            (std::uint32_t{isb[(s1 >> 8) & 0xFF]} << 8) |
                            std::uint32_t{isb[s0 & 0xFF]};
-  util::store_be32(out, r0 ^ dec_keys_[k]);
-  util::store_be32(out + 4, r1 ^ dec_keys_[k + 1]);
-  util::store_be32(out + 8, r2 ^ dec_keys_[k + 2]);
-  util::store_be32(out + 12, r3 ^ dec_keys_[k + 3]);
+  util::store_be32(out, r0 ^ rk(k));
+  util::store_be32(out + 4, r1 ^ rk(k + 1));
+  util::store_be32(out + 8, r2 ^ rk(k + 2));
+  util::store_be32(out + 12, r3 ^ rk(k + 3));
 }
+
+}  // namespace aes_impl
 
 }  // namespace mobiceal::crypto

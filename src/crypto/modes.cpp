@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "crypto/aes_impl.hpp"
 #include "crypto/sha.hpp"
 #include "util/error.hpp"
 
@@ -14,6 +15,19 @@ void check_aligned(util::ByteSpan in, util::MutByteSpan out) {
   }
   if (in.size() % kAesBlockSize != 0) {
     throw util::CryptoError("mode: length not multiple of block size");
+  }
+}
+
+void check_range_args(std::size_t sector_size, util::ByteSpan in,
+                      util::MutByteSpan out) {
+  if (sector_size == 0 || sector_size % kAesBlockSize != 0) {
+    throw util::CryptoError("sector range: bad sector size");
+  }
+  if (in.size() != out.size()) {
+    throw util::CryptoError("sector range: in/out size mismatch");
+  }
+  if (in.size() % sector_size != 0) {
+    throw util::CryptoError("sector range: length not multiple of sector");
   }
 }
 }  // namespace
@@ -93,6 +107,32 @@ void CbcEssivCipher::decrypt_sector(std::uint64_t sector, util::ByteSpan in,
   cbc_decrypt(data_aes_, {iv, 16}, in, out);
 }
 
+void CbcEssivCipher::encrypt_range(std::uint64_t first_sector,
+                                   std::size_t sector_size, util::ByteSpan in,
+                                   util::MutByteSpan out) const {
+  if (!aes_impl::hw_available()) {
+    SectorCipher::encrypt_range(first_sector, sector_size, in, out);
+    return;
+  }
+  check_range_args(sector_size, in, out);
+  aes_impl::cbc_essiv_encrypt_hw(data_aes_, essiv_aes_, first_sector,
+                                 sector_size, in.size() / sector_size,
+                                 in.data(), out.data());
+}
+
+void CbcEssivCipher::decrypt_range(std::uint64_t first_sector,
+                                   std::size_t sector_size, util::ByteSpan in,
+                                   util::MutByteSpan out) const {
+  if (!aes_impl::hw_available()) {
+    SectorCipher::decrypt_range(first_sector, sector_size, in, out);
+    return;
+  }
+  check_range_args(sector_size, in, out);
+  aes_impl::cbc_essiv_decrypt_hw(data_aes_, essiv_aes_, first_sector,
+                                 sector_size, in.size() / sector_size,
+                                 in.data(), out.data());
+}
+
 namespace {
 // GF(2^128) doubling for the XTS tweak, little-endian per IEEE 1619.
 void gf128_double_le(std::uint8_t t[16]) {
@@ -153,21 +193,6 @@ void NullCipher::decrypt_sector(std::uint64_t, util::ByteSpan in,
                                 util::MutByteSpan out) const {
   if (in.data() != out.data()) std::memcpy(out.data(), in.data(), in.size());
 }
-
-namespace {
-void check_range_args(std::size_t sector_size, util::ByteSpan in,
-                      util::MutByteSpan out) {
-  if (sector_size == 0 || sector_size % kAesBlockSize != 0) {
-    throw util::CryptoError("sector range: bad sector size");
-  }
-  if (in.size() != out.size()) {
-    throw util::CryptoError("sector range: in/out size mismatch");
-  }
-  if (in.size() % sector_size != 0) {
-    throw util::CryptoError("sector range: length not multiple of sector");
-  }
-}
-}  // namespace
 
 void SectorCipher::encrypt_range(std::uint64_t first_sector,
                                  std::size_t sector_size, util::ByteSpan in,

@@ -24,6 +24,22 @@ constexpr std::uint32_t kSha256K[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+// Merkle-Damgard padding shared by SHA-1 and SHA-256: the 0x80 marker, one
+// run of zeros and the 64-bit big-endian bit length, over the `len`
+// buffered bytes -- one final block, or two when the marker and length do
+// not fit beside the buffered bytes.
+template <typename ProcessBlock>
+void pad_and_process(const std::uint8_t* buf, std::size_t len,
+                     std::uint64_t total_len, ProcessBlock process_block) {
+  std::uint8_t tail[128];
+  std::memcpy(tail, buf, len);
+  tail[len] = 0x80;
+  const std::size_t end = len + 1 + 8 <= 64 ? 64 : 128;
+  std::memset(tail + len + 1, 0, end - 8 - (len + 1));
+  util::store_be64(tail + end - 8, total_len * 8);
+  for (std::size_t off = 0; off < end; off += 64) process_block(tail + off);
+}
 }  // namespace
 
 void Sha256::reset() {
@@ -95,16 +111,8 @@ void Sha256::update(util::ByteSpan data) {
 }
 
 void Sha256::finish(std::uint8_t out[kDigestSize]) {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-  std::uint8_t len_be[8];
-  util::store_be64(len_be, bit_len);
-  // Bypass update() length accounting for the final length field.
-  std::memcpy(buf_.data() + 56, len_be, 8);
-  process_block(buf_.data());
+  pad_and_process(buf_.data(), buf_len_, total_len_,
+                  [this](const std::uint8_t* b) { process_block(b); });
   buf_len_ = 0;
   for (int i = 0; i < 8; ++i) util::store_be32(out + 4 * i, h_[i]);
 }
@@ -183,15 +191,8 @@ void Sha1::update(util::ByteSpan data) {
 }
 
 void Sha1::finish(std::uint8_t out[kDigestSize]) {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-  std::uint8_t len_be[8];
-  util::store_be64(len_be, bit_len);
-  std::memcpy(buf_.data() + 56, len_be, 8);
-  process_block(buf_.data());
+  pad_and_process(buf_.data(), buf_len_, total_len_,
+                  [this](const std::uint8_t* b) { process_block(b); });
   buf_len_ = 0;
   for (int i = 0; i < 5; ++i) util::store_be32(out + 4 * i, h_[i]);
 }

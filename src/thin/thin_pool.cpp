@@ -319,15 +319,16 @@ void ThinPool::load_metadata() {
       for (std::uint64_t e = 0; e < entries_per_block; ++e) {
         const std::uint64_t idx = b * entries_per_block + e;
         if (idx >= v.map.size()) break;
-        const std::uint64_t chunk =
-            util::load_le<std::uint64_t>(block.data() + e * 8);
-        if (chunk != kUnmapped && chunk >= sb_.nr_chunks) {
-          throw util::MetadataError("thin volume " + std::to_string(vol) +
-                                    ": mapping beyond the data device");
-        }
-        v.map[idx] = chunk;
+        v.map[idx] = util::load_le<std::uint64_t>(block.data() + e * 8);
       }
     }
+  }
+
+  // The maps, the bitmap and the mapped counts must agree before the pool
+  // allocates anything: a map entry the bitmap calls free would otherwise
+  // be handed out a second time.
+  if (const char* fault = consistency_fault()) {
+    throw util::MetadataError(std::string("thin metadata: ") + fault);
   }
 }
 
@@ -533,6 +534,10 @@ bool ThinPool::chunk_allocated(std::uint64_t phys_chunk) const {
 
 bool ThinPool::check_consistency() const {
   util::MutexLock meta(meta_mutex_);
+  return consistency_fault() == nullptr;
+}
+
+const char* ThinPool::consistency_fault() const {
   // Bitmap snapshot: the same contiguous word array the metadata format
   // serialises, reassembled from the shards.
   std::vector<std::uint64_t> words;
@@ -548,12 +553,12 @@ bool ThinPool::check_consistency() const {
     std::uint64_t mapped = 0;
     for (std::uint64_t phys : vol.map) {
       if (phys == kUnmapped) continue;
-      if (phys >= sb_.nr_chunks) return false;      // out-of-range mapping
-      if (!bit(phys)) return false;                 // mapped but free
-      if (refs[phys]++) return false;               // cross-volume share
+      if (phys >= sb_.nr_chunks) return "mapping beyond the data device";
+      if (!bit(phys)) return "mapping to a free chunk";
+      if (refs[phys]++) return "chunk mapped twice";
       ++mapped;
     }
-    if (mapped != vol.mapped) return false;         // stale counter
+    if (mapped != vol.mapped) return "stale mapped count";
     mapped_total += mapped;
   }
   // Bitmap population must equal the mapped total (plus any chunks
@@ -563,8 +568,11 @@ bool ThinPool::check_consistency() const {
   for (std::uint64_t c = 0; c < sb_.nr_chunks; ++c) {
     if (bit(c)) ++allocated;
   }
-  if (allocated != mapped_total) return false;      // leaked chunk
-  return alloc_.total_free() == sb_.nr_chunks - allocated;
+  if (allocated != mapped_total) return "allocated chunk that no map holds";
+  if (alloc_.total_free() != sb_.nr_chunks - allocated) {
+    return "free count disagrees with the bitmap";
+  }
+  return nullptr;
 }
 
 // ---- extent resolution -------------------------------------------------------

@@ -216,7 +216,8 @@ class ThinPool : public std::enable_shared_from_this<ThinPool> {
   /// in range, marked in the bitmap, and mapped by exactly one volume;
   /// per-volume mapped counts and the free counter agree with the bitmap.
   /// Note: allocated-but-unmapped chunks are legal mid-transaction but not
-  /// after a commit. Returns true iff consistent.
+  /// after a commit. Returns true iff consistent. open() applies the same
+  /// rules to the metadata it loads and rejects a pool that breaks one.
   bool check_consistency() const EXCLUDES(meta_mutex_);
 
   std::shared_ptr<blockdev::BlockDevice> data_device() const noexcept {
@@ -275,6 +276,9 @@ class ThinPool : public std::enable_shared_from_this<ThinPool> {
   };
 
   void load_metadata() EXCLUDES(meta_mutex_);
+  /// The rules of check_consistency(): nullptr when every one holds,
+  /// otherwise which one the current state breaks first.
+  const char* consistency_fault() const REQUIRES(meta_mutex_);
   void store_metadata() REQUIRES(meta_mutex_);
   void check_volume(std::uint32_t id) const;
 

@@ -1,9 +1,13 @@
 // Known-answer tests for the from-scratch crypto substrate:
 // FIPS-197 (AES), FIPS 180-4 (SHA), RFC 2202/4231 (HMAC), RFC 6070 (PBKDF2),
-// RFC 8439 (ChaCha20), IEEE 1619 (XTS).
+// RFC 8439 (ChaCha20), IEEE 1619 (XTS); plus agreement of the portable and
+// AES-NI back ends and of the ESSIV range kernels with the per-sector loop.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "crypto/aes.hpp"
+#include "crypto/aes_impl.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/modes.hpp"
 #include "crypto/random.hpp"
@@ -177,6 +181,157 @@ TEST(Modes, CiphertextLooksRandom) {
   EXPECT_TRUE(util::looks_random(ct));
 }
 
+// ---- AES back ends: portable T-tables vs AES-NI ------------------------------
+
+namespace {
+
+struct BlockFns {
+  const char* name;
+  void (*encrypt)(const std::uint8_t*, std::size_t, const std::uint8_t*,
+                  std::uint8_t*) noexcept;
+  void (*decrypt)(const std::uint8_t*, std::size_t, const std::uint8_t*,
+                  std::uint8_t*) noexcept;
+};
+
+const BlockFns kPortable{"portable", crypto::aes_impl::encrypt_block_portable,
+                         crypto::aes_impl::decrypt_block_portable};
+const BlockFns kHardware{"aes-ni", crypto::aes_impl::encrypt_block_hw,
+                         crypto::aes_impl::decrypt_block_hw};
+
+// FIPS-197 Appendix C: one plaintext under a 128-, 192- and 256-bit key.
+void check_fips197(const BlockFns& fns) {
+  const auto pt = from_hex("00112233445566778899aabbccddeeff");
+  const struct {
+    const char* key;
+    const char* ct;
+  } vectors[] = {
+      {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+      {"000102030405060708090a0b0c0d0e0f1011121314151617",
+       "dda97ca4864cdfe06eaf70a0ec0d7191"},
+      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+       "8ea2b7ca516745bfeafc49904b496089"},
+  };
+  for (const auto& v : vectors) {
+    const crypto::Aes aes(from_hex(v.key));
+    std::uint8_t ct[16];
+    fns.encrypt(aes.enc_round_keys(), aes.rounds(), pt.data(), ct);
+    EXPECT_EQ(to_hex({ct, 16}), v.ct) << fns.name << " key " << v.key;
+    fns.decrypt(aes.dec_round_keys(), aes.rounds(), ct, ct);
+    EXPECT_EQ(to_hex({ct, 16}), to_hex(pt)) << fns.name << " key " << v.key;
+  }
+}
+
+}  // namespace
+
+TEST(AesBackends, PortableMatchesFips197) { check_fips197(kPortable); }
+
+TEST(AesBackends, HardwareMatchesFips197) {
+  if (!crypto::aes_impl::hw_available()) GTEST_SKIP() << "CPU has no AES";
+  check_fips197(kHardware);
+}
+
+TEST(AesBackends, HardwareMatchesPortableOnRandomPairs) {
+  if (!crypto::aes_impl::hw_available()) GTEST_SKIP() << "CPU has no AES";
+  crypto::SecureRandom rng(20181);
+  for (int i = 0; i < 10000; ++i) {
+    const util::Bytes key = rng.bytes(16 + 8 * (i % 3));
+    const util::Bytes block = rng.bytes(16);
+    const crypto::Aes aes(key);
+    std::uint8_t sw[16], hw[16];
+    kPortable.encrypt(aes.enc_round_keys(), aes.rounds(), block.data(), sw);
+    kHardware.encrypt(aes.enc_round_keys(), aes.rounds(), block.data(), hw);
+    ASSERT_EQ(to_hex({sw, 16}), to_hex({hw, 16})) << "encrypt, pair " << i;
+    kPortable.decrypt(aes.dec_round_keys(), aes.rounds(), block.data(), sw);
+    kHardware.decrypt(aes.dec_round_keys(), aes.rounds(), block.data(), hw);
+    ASSERT_EQ(to_hex({sw, 16}), to_hex({hw, 16})) << "decrypt, pair " << i;
+  }
+}
+
+// ---- ESSIV range kernels vs the per-sector loop ----------------------------------
+
+namespace {
+
+using RangeFn = void (crypto::SectorCipher::*)(std::uint64_t, std::size_t,
+                                               util::ByteSpan,
+                                               util::MutByteSpan) const;
+using SectorFn = void (crypto::SectorCipher::*)(std::uint64_t, util::ByteSpan,
+                                                util::MutByteSpan) const;
+
+// One range call against the reference loop, out of place and in place.
+void expect_range_matches_loop(const crypto::SectorCipher& c, RangeFn range,
+                               SectorFn sector, std::uint64_t first,
+                               std::size_t sector_size, util::ByteSpan in) {
+  util::Bytes want(in.size());
+  for (std::size_t off = 0; off < in.size(); off += sector_size) {
+    (c.*sector)(first + off / sector_size, {in.data() + off, sector_size},
+                {want.data() + off, sector_size});
+  }
+  util::Bytes got(in.size());
+  (c.*range)(first, sector_size, in, got);
+  EXPECT_EQ(got, want) << "out of place";
+  util::Bytes inplace(in.begin(), in.end());
+  (c.*range)(first, sector_size, inplace, inplace);
+  EXPECT_EQ(inplace, want) << "in place";
+}
+
+}  // namespace
+
+TEST(EssivRange, KernelsMatchPerSectorLoop) {
+  crypto::SecureRandom rng(4242);
+  const std::uint64_t firsts[] = {0, 7, (std::uint64_t{1} << 32) - 3,
+                                  ~std::uint64_t{0} - 8};
+  for (const std::size_t key_len : {16, 32}) {
+    const crypto::CbcEssivCipher c(rng.bytes(key_len));
+    for (const std::size_t sector_size : {512, 4096}) {
+      for (const std::uint64_t first : firsts) {
+        for (std::size_t n = 1; n <= 17; ++n) {
+          SCOPED_TRACE(testing::Message()
+                       << "key " << key_len << " sector " << sector_size
+                       << " first " << first << " count " << n);
+          const util::Bytes pt = rng.bytes(n * sector_size);
+          expect_range_matches_loop(c, &crypto::SectorCipher::encrypt_range,
+                                    &crypto::SectorCipher::encrypt_sector,
+                                    first, sector_size, pt);
+          expect_range_matches_loop(c, &crypto::SectorCipher::decrypt_range,
+                                    &crypto::SectorCipher::decrypt_sector,
+                                    first, sector_size, pt);
+        }
+      }
+    }
+  }
+}
+
+TEST(EssivRange, RejectsBadArguments) {
+  const crypto::CbcEssivCipher c(util::Bytes(16, 1));
+  util::Bytes in(1024), out(1024), short_out(512);
+  EXPECT_THROW(c.encrypt_range(0, 0, in, out), util::CryptoError);
+  EXPECT_THROW(c.encrypt_range(0, 500, in, out), util::CryptoError);
+  EXPECT_THROW(c.decrypt_range(0, 512, in, short_out), util::CryptoError);
+  EXPECT_THROW(c.decrypt_range(0, 768, in, out), util::CryptoError);
+}
+
+// Pins the aes-cbc-essiv:sha256 bytes of 1 MiB across the 2^32 sector
+// boundary. The digest was computed before the AES-NI back end existed, so
+// any change of ciphertext on any host -- and so of every image the
+// benches hash -- fails here.
+TEST(EssivRange, GoldenDigestOfOneMiB) {
+  util::Bytes key(16);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(0xA0 + 3 * i);
+  }
+  util::Bytes pt(1u << 20);
+  for (std::size_t i = 0; i < pt.size(); ++i) {
+    pt[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  const crypto::CbcEssivCipher c(key);
+  util::Bytes ct(pt.size());
+  c.encrypt_range(0xFFFFFFFEull, 512, pt, ct);
+  EXPECT_EQ(to_hex(crypto::Sha256::digest(ct)),
+            "32a691471ebec55af76822a40b76f2b6c46247cdb9e1c2037ca116b69b4dbb2b");
+  c.decrypt_range(0xFFFFFFFEull, 512, ct, ct);
+  EXPECT_EQ(ct, pt);
+}
+
 // ---- SHA (FIPS 180-4 / NIST examples) -------------------------------------------
 
 TEST(Sha, Sha256Abc) {
@@ -214,6 +369,32 @@ TEST(Sha, Sha1Abc) {
 TEST(Sha, Sha1Empty) {
   EXPECT_EQ(to_hex(crypto::Sha1::digest({})),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+}
+
+// Every message length 0..129 crosses the one-block / two-block padding
+// boundary (55/56 bytes) twice; the expected values are Python hashlib's
+// SHA-256 over the concatenated per-length digests.
+namespace {
+template <typename Hash>
+std::string digest_of_boundary_digests() {
+  util::Bytes all;
+  for (std::size_t n = 0; n < 130; ++n) {
+    util::Bytes msg(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      msg[i] = static_cast<std::uint8_t>(i * 7 + n);
+    }
+    const util::Bytes d = Hash::digest(msg);
+    all.insert(all.end(), d.begin(), d.end());
+  }
+  return to_hex(crypto::Sha256::digest(all));
+}
+}  // namespace
+
+TEST(Sha, PaddingBoundaries) {
+  EXPECT_EQ(digest_of_boundary_digests<crypto::Sha1>(),
+            "0bd17d32c82dc66cca5a80ef13527a88a35a16429c5bc190049e6a7dbabec01d");
+  EXPECT_EQ(digest_of_boundary_digests<crypto::Sha256>(),
+            "f0a356ea9e6f1782f5f990ba58676d20f035df61db3b6545e977112d486331c9");
 }
 
 // ---- HMAC (RFC 2202 / RFC 4231) ---------------------------------------------------

@@ -279,6 +279,67 @@ TEST(ThinPool, OpenRejectsCorruptFieldsWithoutAllocating) {
   }
 }
 
+// The maps, the bitmap and the volume table's mapped counts carry no
+// checksum, so open() cross-checks them by check_consistency()'s rules. A
+// map entry naming a chunk the bitmap calls free would otherwise open
+// cleanly and let the allocator hand that chunk out a second time.
+TEST(ThinPool, OpenRejectsMapsThatDisagreeWithTheBitmap) {
+  PoolFixture f(AllocPolicy::kSequential);
+  f.pool->create_thin(0, 16);
+  f.pool->create_thin(1, 16);
+  f.pool->open_thin(0)->write_block(0, pattern_block(4096, 4));
+  f.pool->open_thin(1)->write_block(0, pattern_block(4096, 5));
+  f.pool->commit();
+  ASSERT_EQ(f.pool->mapping(0)[0], 0u);
+  ASSERT_EQ(f.pool->mapping(1)[0], 1u);
+  ASSERT_FALSE(f.pool->chunk_allocated(5));
+  const thin::Superblock sb = f.pool->superblock();
+  const auto geom = thin::MetadataGeometry::compute(sb, 4096);
+  const std::size_t area = geom.area_start(sb.active_area) * 4096;
+  const std::size_t vol0_mapped = area + geom.volume_table_offset * 4096 + 16;
+  const auto map_entry = [&](std::uint32_t vol, std::uint64_t idx) {
+    return area +
+           (geom.maps_offset + vol * geom.map_blocks_per_volume) * 4096 +
+           idx * 8;
+  };
+  const util::Bytes good = f.meta->snapshot();
+
+  // Applies the edits, re-seals the superblock checksum and opens: returns
+  // the MetadataError text, or "opened".
+  using Edits = std::vector<std::pair<std::size_t, std::uint64_t>>;
+  const auto open_with = [&](const Edits& edits) -> std::string {
+    util::Bytes image = good;
+    for (const auto& [off, value] : edits) {
+      util::store_le<std::uint64_t>(image.data() + off, value);
+    }
+    util::store_le<std::uint64_t>(image.data() + 64, sb.compute_checksum());
+    f.meta->write_blocks(0, image);
+    try {
+      ThinPool::open(f.meta, f.data);
+    } catch (const util::MetadataError& e) {
+      return e.what();
+    }
+    return "opened";
+  };
+  const auto expect_rejected = [&](const Edits& edits, const char* rule) {
+    const std::string got = open_with(edits);
+    EXPECT_NE(got.find(rule), std::string::npos) << got;
+  };
+
+  EXPECT_EQ(open_with({}), "opened");
+  // Volume 0's entry 1 names chunk 5, which the bitmap marks free.
+  expect_rejected({{map_entry(0, 1), 5}, {vol0_mapped, 2}},
+                  "mapping to a free chunk");
+  // Volume 1's entry 0 names volume 0's chunk.
+  expect_rejected({{map_entry(1, 0), 0}}, "chunk mapped twice");
+  // Volume 0 claims two mapped chunks but its map holds one.
+  expect_rejected({{vol0_mapped, 2}}, "stale mapped count");
+  // Volume 1 drops its only chunk, which stays allocated in the bitmap.
+  expect_rejected({{map_entry(1, 0), thin::kUnmapped},
+                   {vol0_mapped + thin::kVolumeDescSize, 0}},
+                  "allocated chunk that no map holds");
+}
+
 TEST(ThinPool, DiscardFreesChunk) {
   PoolFixture f(AllocPolicy::kSequential);
   f.pool->create_thin(0, 16);
